@@ -214,6 +214,23 @@ stage_intersect() {
         return 1
     fi
     echo "intersection count $cpu matches combination (host, device, faulted)"
+    # Bounded memory: a BA graph whose 3 ALS hold ~38M hybrid blocks
+    # must run gpu-intersect (with its Eq. 6 prediction) and hybrid at
+    # default telemetry inside a 1 GiB address space, with exact counts.
+    cargo build --release --quiet
+    local ref method bounded
+    ref="$(./target/release/trigon run --gen ba --n 25000 --method cpu-fast \
+        | awk '/^triangles/ {print $2}')"
+    for method in gpu-intersect hybrid; do
+        bounded="$( (ulimit -v 1048576 && ./target/release/trigon run --gen ba \
+            --n 25000 --method "$method" --json) | grep -o '"count": *[0-9]*' \
+            | head -1 | grep -o '[0-9]*$')"
+        if [ -z "$ref" ] || [ "$bounded" != "$ref" ]; then
+            echo "bounded-memory $method drifted: got '$bounded', cpu-fast $ref" >&2
+            return 1
+        fi
+    done
+    echo "BA n=25000 gpu-intersect and hybrid count $ref inside 1 GiB"
     cargo test --release --quiet --test prop_intersect
 }
 
@@ -270,14 +287,16 @@ stage_ablation() {
 # counts are bit-identical to the serial ones (inside run_perf), and
 # enforces the committed normalized regression envelope: >25 % slowdown
 # of the 1-thread fig10 run vs crates/bench/baselines/perf_baseline.json
-# fails. Export TRIGON_PERF_SKIP_REGRESSION=1 to measure without gating
-# (e.g. on a heavily loaded machine).
+# fails, and so does any fig10 method whose Level::Standard run is more
+# than 5 % (and 1 ms) slower than its Level::Off run. Export
+# TRIGON_PERF_SKIP_REGRESSION=1 to measure without gating (e.g. on a
+# heavily loaded machine).
 stage_perf() {
     cargo run --release --quiet -p trigon-bench --bin repro -- perf --quick \
         --baseline crates/bench/baselines/perf_baseline.json
     test -s bench_out/BENCH_perf.json
     local key
-    for key in '"schema_version": 1' '"fig10"' '"fig11"' '"overhead"' '"thread_sweep"'; do
+    for key in '"schema_version": 2' '"fig10"' '"fig11"' '"overhead"' '"overhead_pct"' '"thread_sweep"'; do
         grep -q "$key" bench_out/BENCH_perf.json
     done
 }

@@ -538,22 +538,27 @@ fn perf(out: &Output, rest: &[String]) {
             }
         }
     }
-    if let Some(tele) = result
+    if let Some(trigon_core::Json::Array(rows)) = result
         .report
         .get("overhead")
         .and_then(|o| o.get("telemetry"))
+        .and_then(|t| t.get("methods"))
     {
-        let off = json_u64(tele.get("off_ns"));
-        let std_ns = json_u64(tele.get("standard_ns"));
-        let pct = match tele.get("overhead_pct") {
-            Some(trigon_core::Json::Float(v)) => format!("{v:.1}"),
-            _ => "-".to_string(),
-        };
-        println!(
-            "  telemetry overhead: Off {:.2} ms, Standard {:.2} ms ({pct} %)",
-            off as f64 / 1e6,
-            std_ns as f64 / 1e6
-        );
+        for row in rows {
+            let label = match row.get("method") {
+                Some(trigon_core::Json::Str(s)) => s.as_str(),
+                _ => "-",
+            };
+            let pct = match row.get("overhead_pct") {
+                Some(trigon_core::Json::Float(v)) => format!("{v:+.1}"),
+                _ => "-".to_string(),
+            };
+            println!(
+                "  telemetry overhead {label:<14} Off {:>8.2} ms, Standard {:>8.2} ms ({pct} %)",
+                json_u64(row.get("off_ns")) as f64 / 1e6,
+                json_u64(row.get("standard_ns")) as f64 / 1e6
+            );
+        }
     }
     std::fs::create_dir_all("bench_out").expect("create bench_out");
     let path = "bench_out/BENCH_perf.json";

@@ -49,11 +49,12 @@
 //! [`crate::multi::run_fleet_workload`], and [`Run::device_loss`]
 //! injects deterministic device failures into that fleet.
 
+use crate::als::{build_als, Als};
 use crate::cluster;
 use crate::error::Error;
 use crate::gpu_exec::{self, GpuConfig};
 use crate::gpu_kcount::run_k_cliques_workload_traced;
-use crate::hybrid::{run_hybrid_collected, run_hybrid_workload_traced, HybridConfig};
+use crate::hybrid::{self, run_hybrid_workload_traced, HybridConfig};
 use crate::multi;
 use crate::report::{
     Eq6Section, FaultsSection, GpuSection, HybridSection, ProfileSection, RunReport,
@@ -193,7 +194,7 @@ pub struct Run<'g> {
     cluster: Option<ClusterSpec>,
     partition: PartitionStrategy,
     node_loss: Option<LossPlan>,
-    prebuilt_als: Option<std::sync::Arc<Vec<crate::als::Als>>>,
+    prebuilt_als: Option<std::sync::Arc<Vec<Als>>>,
 }
 
 /// The builder's original name, kept as an alias; [`Run`] is the
@@ -235,7 +236,7 @@ impl<'g> Run<'g> {
     /// counts are bit-identical to a cold run. The hybrid, k-clique,
     /// and cluster paths build their own decomposition and ignore this.
     #[must_use]
-    pub fn prebuilt_als(mut self, als: std::sync::Arc<Vec<crate::als::Als>>) -> Self {
+    pub fn prebuilt_als(mut self, als: std::sync::Arc<Vec<Als>>) -> Self {
         self.prebuilt_als = Some(als);
         self
     }
@@ -290,8 +291,9 @@ impl<'g> Run<'g> {
     }
 
     /// Sets the telemetry level. [`Level::Off`] skips all collection —
-    /// including the extra Eq. 6 prediction pass for GPU runs — leaving
-    /// the corresponding report fields empty.
+    /// including the Eq. 6 prediction of single-device GPU runs (the
+    /// Algorithm 1 split plus per-ALS tier pricing) — leaving the
+    /// corresponding report fields empty.
     #[must_use]
     pub fn telemetry(mut self, level: Level) -> Self {
         self.level = level;
@@ -708,6 +710,22 @@ impl<'g> Run<'g> {
                 let mut cfg = self.gpu_config_for(self.method)?;
                 let mut fleet_section = None;
                 let mut cluster_section = None;
+                // Eq. 6 models one device; skip the prediction for real
+                // multi-device fleets and clusters, and when telemetry is
+                // off. It is priced over the run's own ALS: the prebuilt
+                // set, or one build shared with the executor.
+                let one_device = self.fleet.as_ref().is_none_or(|f| f.len() == 1)
+                    && self.cluster.as_ref().is_none_or(|c| c.total_devices() == 1);
+                let with_eq6 = with_eq6 && one_device && self.level != Level::Off;
+                let built_als;
+                let als: Option<&[Als]> = match self.prebuilt_als.as_deref() {
+                    Some(als) => Some(als),
+                    None if with_eq6 => {
+                        built_als = build_als(g);
+                        Some(built_als.as_slice())
+                    }
+                    None => None,
+                };
                 let (r, partial) = match (self.cluster.as_ref(), self.fleet.as_ref()) {
                     (Some(spec), _) => {
                         cfg.device = spec.nodes()[0].devices()[0].clone();
@@ -727,7 +745,7 @@ impl<'g> Run<'g> {
                     }
                     (None, Some(fleet)) => {
                         cfg.device = fleet.devices()[0].clone();
-                        let (r, partial, section) = match self.prebuilt_als.as_deref() {
+                        let (r, partial, section) = match als {
                             Some(als) => multi::run_fleet_workload_with_als(
                                 g,
                                 als,
@@ -751,21 +769,16 @@ impl<'g> Run<'g> {
                         fleet_section = Some(section);
                         (r, partial)
                     }
-                    (None, None) => match self.prebuilt_als.as_deref() {
+                    (None, None) => match als {
                         Some(als) => gpu_exec::run_workload_traced_with_als(
                             g, als, &cfg, kernel, collector, tracer,
                         )?,
                         None => gpu_exec::run_workload_traced(g, &cfg, kernel, collector, tracer)?,
                     },
                 };
-                // Eq. 6 models one device; skip the prediction for real
-                // multi-device fleets and clusters.
-                let one_device = self.fleet.as_ref().is_none_or(|f| f.len() == 1)
-                    && self.cluster.as_ref().is_none_or(|c| c.total_devices() == 1);
-                let eq6 = if with_eq6 && one_device {
-                    self.eq6_prediction(r.kernel_s, &cfg)
-                } else {
-                    None
+                let eq6 = match als {
+                    Some(als) if with_eq6 => Some(self.eq6_prediction(als, r.kernel_s, &cfg)),
+                    _ => None,
                 };
                 let mut report = self.base_report(r.triangles, r.tests, r.total_s);
                 report.gpu = Some(GpuSection {
@@ -848,20 +861,20 @@ impl<'g> Run<'g> {
 
     /// Eq. 6 prediction for a pure-GPU run: the pipeline time the paper's
     /// model assigns this graph's Algorithm 1 split on this device,
-    /// against the simulated kernel seconds. Skipped (None) when
-    /// telemetry is off — it costs an extra analytic pass.
-    fn eq6_prediction(&self, simulated_kernel_s: f64, cfg: &GpuConfig) -> Option<Eq6Section> {
-        if self.level == Level::Off {
-            return None;
-        }
+    /// against the simulated kernel seconds. Priced per ALS over `als`
+    /// (the run's own decomposition) by [`hybrid::eq6_estimate`], with
+    /// the hybrid executor's own tier pricing.
+    fn eq6_prediction(&self, als: &[Als], simulated_kernel_s: f64, cfg: &GpuConfig) -> Eq6Section {
         let hybrid_cfg = HybridConfig {
             device: cfg.device.clone(),
             cost: self.cost,
             max_roots: self.max_roots,
             faults: None,
         };
-        let est = run_hybrid_collected(self.graph, &hybrid_cfg, &mut Collector::disabled());
-        Some(Eq6Section::new(est.eq6_s, simulated_kernel_s))
+        Eq6Section::new(
+            hybrid::eq6_estimate(self.graph, als, &hybrid_cfg),
+            simulated_kernel_s,
+        )
     }
 
     fn base_report(&self, count: u64, tests: u128, modeled_s: f64) -> RunReport {

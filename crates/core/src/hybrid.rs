@@ -13,9 +13,10 @@
 //! what "an intelligent scheduling of the computations" (§V) buys.
 
 use crate::als::{build_als, Als};
-use crate::split::{split_graph_collected, SplitConfig, SplitResult};
+use crate::split::{split_graph, split_graph_collected, SplitConfig, SplitResult};
 use crate::timemodel::{eq6_total_time, CostModel};
 use crate::workload::{ChunkKernel, CountKernel};
+use rayon::prelude::*;
 use trigon_gpu_sim::{
     bank_conflict_degree, warp_transactions, CounterSet, DeviceProfile, DeviceSpec, FaultConfig,
     FaultEvent, FaultOutcome, ProfileData, TransferModel,
@@ -59,6 +60,14 @@ impl HybridConfig {
             cost: CostModel::default(),
             max_roots: 4,
             faults: None,
+        }
+    }
+
+    /// The Algorithm 1 split this configuration runs.
+    fn split_config(&self) -> SplitConfig {
+        SplitConfig {
+            max_roots: self.max_roots,
+            ..SplitConfig::for_device(&self.device)
         }
     }
 }
@@ -119,6 +128,160 @@ pub fn classify_als(als: &[Als], split: &SplitResult) -> Vec<Placement> {
         .collect()
 }
 
+/// Sub-job grain: the same 64k-test blocks the exhaustive simulator
+/// uses, so one big ALS parallelizes across SMs (each block stages its
+/// own shared-memory copy of the chunk, as CUDA blocks do).
+const BLOCK_TESTS: u128 = 128 * 512;
+
+/// One ALS's §V tier pricing: its tests cut into [`BLOCK_TESTS`] blocks
+/// and the cost of one block on its tier. The executor schedules these
+/// blocks; the Eq. 6 estimate sums them — both from this one pricing.
+struct AlsPricing {
+    /// Combination tests of the ALS.
+    tests: u128,
+    /// Blocks the tests are cut into.
+    blocks: u64,
+    /// Cycles of one block.
+    per_block: u64,
+    /// Staged in shared memory (else read from global memory).
+    shared: bool,
+    /// Counters of one block; `tests`/`instructions` are per block and
+    /// filled in by the caller.
+    block: CounterSet,
+}
+
+impl AlsPricing {
+    /// Prices `a` on its tier; `None` for an ALS without tests.
+    fn new(a: &Als, place: Placement, cfg: &HybridConfig) -> Option<Self> {
+        let spec = &cfg.device;
+        let t = a.test_count(3);
+        if t == 0 {
+            return None;
+        }
+        let blocks = t.div_ceil(BLOCK_TESTS).max(1);
+        let steps_per_block = t.div_ceil(spec.warp_size as u128).div_ceil(blocks) as u64;
+        let blocks = blocks as u64;
+        let (per_block, block) = match place {
+            Placement::Shared { .. } => {
+                // Each block stages the chunk: coalesced copy of the
+                // local S-UTM bits into its SM's shared memory.
+                let copy_tx = (a.size_bits() / 8).div_ceil(128) as u64;
+                let copy = copy_tx * spec.transaction_service_cycles;
+                // Shared-tier steps: combination generation still costs,
+                // memory at bank latency. The access pattern (broadcast
+                // rows + consecutive columns) is conflict-light; charge
+                // the conflict-free Eq. 9 cost per load phase, and count
+                // the Eq. 9 extra serialized accesses of consecutive
+                // words.
+                let step_cost =
+                    cfg.cost.gpu_step_base_shared_cycles + 3 * spec.shared_latency_cycles;
+                let conflict_extra = u64::from(shared_conflict_degree(spec).saturating_sub(1));
+                (
+                    copy + steps_per_block * step_cost,
+                    CounterSet {
+                        transactions: copy_tx,
+                        min_transactions: copy_tx,
+                        bank_conflicts: conflict_extra * steps_per_block * 3,
+                        compute_cycles: steps_per_block * cfg.cost.gpu_step_base_shared_cycles,
+                        mem_cycles: copy + steps_per_block * 3 * spec.shared_latency_cycles,
+                        blocks: 1,
+                        ..CounterSet::default()
+                    },
+                )
+            }
+            Placement::Global => {
+                // Global-tier steps: base cost + derated memory service
+                // for the transactions a 3-phase warp step issues, priced
+                // with the real coalescing engine on a sample step.
+                let est_tx_per_step = estimate_tx_per_step(a, spec);
+                let mem_step_cycles = (est_tx_per_step
+                    * spec.transaction_service_cycles as f64
+                    * cfg.cost.gpu_mem_derate)
+                    .round() as u64;
+                (
+                    steps_per_block * (cfg.cost.gpu_step_base_cycles + mem_step_cycles),
+                    CounterSet {
+                        transactions: (est_tx_per_step * steps_per_block as f64).round() as u64,
+                        min_transactions: 3 * steps_per_block,
+                        compute_cycles: steps_per_block * cfg.cost.gpu_step_base_cycles,
+                        mem_cycles: steps_per_block * mem_step_cycles,
+                        blocks: 1,
+                        ..CounterSet::default()
+                    },
+                )
+            }
+        };
+        Some(Self {
+            tests: t,
+            blocks,
+            per_block,
+            shared: matches!(place, Placement::Shared { .. }),
+            block,
+        })
+    }
+}
+
+/// Eq. 9 bank-conflict degree of the shared-tier access pattern: one
+/// warp reading consecutive words.
+fn shared_conflict_degree(spec: &DeviceSpec) -> u32 {
+    let addrs: Vec<u64> = (0..spec.warp_size as u64).map(|l| l * 4).collect();
+    bank_conflict_degree(&addrs, spec.shared_banks)
+}
+
+/// The paper's naive Eq. 6 pipeline over priced ALS (`None` = no
+/// tests): mean per-tier chunk times, shared chunks 30-at-a-time, global
+/// chunks serialized. Tier totals accumulate in ALS order, and test-free
+/// ALS count toward the global tier. Returns `(shared ALS, seconds)`.
+fn eq6_seconds(spec: &DeviceSpec, pricing: &[Option<AlsPricing>]) -> (usize, f64) {
+    let mut tau_shared_total = 0.0f64;
+    let mut tau_global_total = 0.0f64;
+    let mut shared_n = 0usize;
+    for p in pricing.iter().flatten() {
+        let seconds = spec.cycles_to_seconds(p.per_block * p.blocks);
+        if p.shared {
+            shared_n += 1;
+            tau_shared_total += seconds;
+        } else {
+            tau_global_total += seconds;
+        }
+    }
+    let global_n = pricing.len() - shared_n;
+    let tau_s = if shared_n > 0 {
+        tau_shared_total / shared_n as f64
+    } else {
+        0.0
+    };
+    let tau_g = if global_n > 0 {
+        tau_global_total / global_n as f64
+    } else {
+        0.0
+    };
+    let eq6_s = eq6_total_time(
+        shared_n as u64,
+        global_n as u64,
+        tau_s,
+        tau_g,
+        spec.sm_count,
+    );
+    (shared_n, eq6_s)
+}
+
+/// The Eq. 6 prediction `τt = μ·τs + ψg·τg` for `g` on `cfg`'s device,
+/// bit-identical to [`HybridResult::eq6_s`] of a hybrid run: the
+/// Algorithm 1 split, ALS placement and per-ALS tier pricing over the
+/// caller's ALS (`als` must be [`build_als`] of `g`), and nothing else —
+/// no counting, no schedule.
+#[must_use]
+pub fn eq6_estimate(g: &Graph, als: &[Als], cfg: &HybridConfig) -> f64 {
+    let split = split_graph(g, &cfg.split_config());
+    let pricing: Vec<Option<AlsPricing>> = als
+        .iter()
+        .zip(classify_als(als, &split))
+        .map(|(a, place)| AlsPricing::new(a, place, cfg))
+        .collect();
+    eq6_seconds(&cfg.device, &pricing).1
+}
+
 /// Runs the hybrid pipeline while recording phase timings (`split`,
 /// `count`), placement counters, and the shared-memory bank-conflict
 /// degree of the kernel's access pattern into `collector`.
@@ -162,13 +325,9 @@ pub fn run_hybrid_workload_traced<K: ChunkKernel>(
 ) -> (HybridResult, K::Partial) {
     let spec = &cfg.device;
     tracer.set_device_clock_hz(spec.clock_hz as f64);
-    let split_cfg = SplitConfig {
-        max_roots: cfg.max_roots,
-        ..SplitConfig::for_device(spec)
-    };
     let split = {
         let mut span = tracer.span("split", "phase");
-        let split = split_graph_collected(g, &split_cfg, collector);
+        let split = split_graph_collected(g, &cfg.split_config(), collector);
         span.attr("chunks", split.chunks.len());
         span.attr("oversize", split.oversize_count);
         split
@@ -183,137 +342,67 @@ pub fn run_hybrid_workload_traced<K: ChunkKernel>(
     let als = build_als(g);
     let placement = classify_als(&als, &split);
 
-    let warp = spec.warp_size as u128;
-    // Sub-job grain: the same 64k-test blocks the exhaustive simulator
-    // uses, so one big ALS parallelizes across SMs (each block stages its
-    // own shared-memory copy of the chunk, as CUDA blocks do).
-    let block_tests: u128 = 128 * 512;
+    // Workload partials per ALS in parallel, folded in canonical order.
+    // A few pool widths of ALS at a time keep the parallelism but hold
+    // only that many partials (a dense per-vertex vector for some
+    // workloads) at once.
     let mut partial = kernel.identity();
     let mut tests = 0u128;
-    let mut jobs_cycles: Vec<u64> = Vec::new();
-    // Per-job (ALS index, counter bundle) — attributed to SMs after the
-    // LPT schedule lands; the job's tests split evenly across its blocks
-    // (remainder to the leading blocks) so totals stay exact.
-    let mut job_meta: Vec<(usize, CounterSet)> = Vec::new();
-    // Eq. 9 conflict degree of the shared-tier access pattern
-    // (consecutive words): the extra serialized accesses beyond the
-    // conflict-free cost, per load phase.
-    let bank_addrs: Vec<u64> = (0..spec.warp_size as u64).map(|l| l * 4).collect();
-    let conflict_extra =
-        u64::from(bank_conflict_degree(&bank_addrs, spec.shared_banks).saturating_sub(1));
-    let mut tau_shared_total = 0.0f64;
-    let mut tau_global_total = 0.0f64;
-    let mut shared_n = 0usize;
-    for (ai, (a, place)) in als.iter().zip(&placement).enumerate() {
-        partial = kernel.merge(partial, kernel.compute_als(g, a));
-        let t = a.test_count(3);
-        tests += t;
-        tracer.record("als.tests", t as f64);
-        if t == 0 {
-            continue;
-        }
-        let blocks = t.div_ceil(block_tests).max(1);
-        let steps_per_block = t.div_ceil(warp).div_ceil(blocks) as u64;
-        let base_tests = t / blocks;
-        let rem = t % blocks;
-        let job_tests = |b: u64| base_tests + u128::from(u128::from(b) < rem);
-        match place {
-            Placement::Shared { .. } => {
-                shared_n += 1;
-                // Each block stages the chunk: coalesced copy of the
-                // local S-UTM bits into its SM's shared memory.
-                let copy_tx = (a.size_bits() / 8).div_ceil(128) as u64;
-                let copy = copy_tx * spec.transaction_service_cycles;
-                // Shared-tier steps: combination generation still costs,
-                // memory at bank latency. The access pattern (broadcast
-                // rows + consecutive columns) is conflict-light; charge
-                // the conflict-free Eq. 9 cost per load phase.
-                let step_cost =
-                    cfg.cost.gpu_step_base_shared_cycles + 3 * spec.shared_latency_cycles;
-                let per_block = copy + steps_per_block * step_cost;
-                tau_shared_total += spec.cycles_to_seconds(per_block * blocks as u64);
-                for b in 0..blocks as u64 {
-                    jobs_cycles.push(per_block);
-                    let jt = job_tests(b);
-                    job_meta.push((
-                        ai,
-                        CounterSet {
-                            tests: jt,
-                            instructions: CounterSet::instructions_for_tests(jt),
-                            transactions: copy_tx,
-                            min_transactions: copy_tx,
-                            bank_conflicts: conflict_extra * steps_per_block * 3,
-                            compute_cycles: steps_per_block * cfg.cost.gpu_step_base_shared_cycles,
-                            mem_cycles: copy + steps_per_block * 3 * spec.shared_latency_cycles,
-                            blocks: 1,
-                        },
-                    ));
-                }
-            }
-            Placement::Global => {
-                // Global-tier steps: base cost + derated memory service
-                // for the transactions a 3-phase warp step issues, priced
-                // with the real coalescing engine on a sample step.
-                let est_tx_per_step = estimate_tx_per_step(a, spec);
-                let mem_step_cycles = (est_tx_per_step
-                    * spec.transaction_service_cycles as f64
-                    * cfg.cost.gpu_mem_derate)
-                    .round() as u64;
-                let step_cost = cfg.cost.gpu_step_base_cycles + mem_step_cycles;
-                let per_block = steps_per_block * step_cost;
-                tau_global_total += spec.cycles_to_seconds(per_block * blocks as u64);
-                let tx_per_block = (est_tx_per_step * steps_per_block as f64).round() as u64;
-                for b in 0..blocks as u64 {
-                    jobs_cycles.push(per_block);
-                    let jt = job_tests(b);
-                    job_meta.push((
-                        ai,
-                        CounterSet {
-                            tests: jt,
-                            instructions: CounterSet::instructions_for_tests(jt),
-                            transactions: tx_per_block,
-                            min_transactions: 3 * steps_per_block,
-                            bank_conflicts: 0,
-                            compute_cycles: steps_per_block * cfg.cost.gpu_step_base_cycles,
-                            mem_cycles: steps_per_block * mem_step_cycles,
-                            blocks: 1,
-                        },
-                    ));
-                }
-            }
+    for batch in als.chunks(4 * rayon::current_num_threads()) {
+        let partials: Vec<K::Partial> =
+            batch.par_iter().map(|a| kernel.compute_als(g, a)).collect();
+        for (a, p) in batch.iter().zip(partials) {
+            partial = kernel.merge(partial, p);
+            let t = a.test_count(3);
+            tests += t;
+            tracer.record("als.tests", t as f64);
         }
     }
 
-    // Intelligent scheduling: LPT over all ALS jobs on the SMs.
-    let schedule = trigon_sched::lpt(&jobs_cycles, spec.sm_count);
+    let pricing: Vec<Option<AlsPricing>> = als
+        .iter()
+        .zip(&placement)
+        .map(|(a, &place)| AlsPricing::new(a, place, cfg))
+        .collect();
+    let (shared_n, eq6_s) = eq6_seconds(spec, &pricing);
+    let global_n = als.len() - shared_n;
+
+    // Intelligent scheduling: LPT over all ALS blocks on the SMs. Every
+    // block of one ALS costs the same; its tests split evenly (remainder
+    // to the leading blocks), so each ALS is two runs of equal jobs — the
+    // `+1`-test blocks, then the rest — and per-SM attribution stays
+    // exact without listing the blocks.
+    let mut runs: Vec<(u64, u64)> = Vec::new();
+    let mut run_meta: Vec<(usize, CounterSet)> = Vec::new();
+    for (ai, p) in pricing.iter().enumerate() {
+        let Some(p) = p else { continue };
+        let base_tests = p.tests / u128::from(p.blocks);
+        let rem = (p.tests % u128::from(p.blocks)) as u64;
+        for (count, jt) in [(rem, base_tests + 1), (p.blocks - rem, base_tests)] {
+            runs.push((p.per_block, count));
+            run_meta.push((
+                ai,
+                CounterSet {
+                    tests: jt,
+                    instructions: CounterSet::instructions_for_tests(jt),
+                    ..p.block
+                },
+            ));
+        }
+    }
+    let schedule = trigon_sched::lpt_runs(&runs, spec.sm_count);
     let mut profile = ProfileData::new(als.len(), spec.sm_count as usize);
-    for ((ai, c), &sm) in job_meta.iter().zip(schedule.assignment.iter()) {
-        profile.record(*ai, sm as usize, c);
+    for ((ai, c), per_sm) in run_meta.iter().zip(&schedule.counts) {
+        for (sm, &n) in per_sm.iter().enumerate() {
+            if n > 0 {
+                profile.record(*ai, sm, &c.times(n));
+            }
+        }
     }
     profile
         .devices
         .push(DeviceProfile::new(spec, profile.totals.clone()));
     let mut kernel_s = spec.cycles_to_seconds(schedule.makespan()) + spec.kernel_launch_s;
-
-    // The paper's naive Eq. 6 pipeline: average per-tier chunk times.
-    let global_n = als.len() - shared_n;
-    let tau_s = if shared_n > 0 {
-        tau_shared_total / shared_n as f64
-    } else {
-        0.0
-    };
-    let tau_g = if global_n > 0 {
-        tau_global_total / global_n as f64
-    } else {
-        0.0
-    };
-    let eq6_s = eq6_total_time(
-        shared_n as u64,
-        global_n as u64,
-        tau_s,
-        tau_g,
-        spec.sm_count,
-    );
 
     let layout_bytes: u64 = als.iter().map(|a| (a.size_bits() / 8) as u64 + 1).sum();
     let transfer_model = TransferModel::from_spec(spec);
@@ -349,9 +438,7 @@ pub fn run_hybrid_workload_traced<K: ChunkKernel>(
     };
     let mut cpu_fallback_s = 0.0;
     if landed {
-        if tracer.enabled() {
-            trigon_sched::trace_schedule(tracer, &schedule, &jobs_cycles, "kernel", kernel_start);
-        }
+        trigon_sched::trace_runs(tracer, &runs, spec.sm_count, "kernel", kernel_start);
     } else {
         // Transfer retries exhausted: the kernel never launches; the
         // (already host-exact) count is priced at the CPU path instead.
@@ -384,10 +471,9 @@ pub fn run_hybrid_workload_traced<K: ChunkKernel>(
         // The shared-tier kernel reads one broadcast row word plus
         // consecutive column words per lane; record its Eq. 9 conflict
         // degree (pricing stays conflict-free — this documents why).
-        let addrs: Vec<u64> = (0..spec.warp_size as u64).map(|l| l * 4).collect();
         collector.gauge(
             "shared.bank_conflict_degree",
-            f64::from(bank_conflict_degree(&addrs, spec.shared_banks)),
+            f64::from(shared_conflict_degree(spec)),
         );
     }
 

@@ -84,6 +84,22 @@ impl CounterSet {
         self.blocks += other.blocks;
     }
 
+    /// `n` copies of `self` merged together: every field times `n`,
+    /// instructions saturating as in [`CounterSet::merge`].
+    #[must_use]
+    pub fn times(&self, n: u64) -> CounterSet {
+        CounterSet {
+            tests: self.tests * u128::from(n),
+            instructions: self.instructions.saturating_mul(n),
+            transactions: self.transactions * n,
+            min_transactions: self.min_transactions * n,
+            bank_conflicts: self.bank_conflicts * n,
+            compute_cycles: self.compute_cycles * n,
+            mem_cycles: self.mem_cycles * n,
+            blocks: self.blocks * n,
+        }
+    }
+
     /// Modeled instructions for `tests` combination tests, saturating
     /// at `u64::MAX` (sampled runs on huge graphs).
     #[must_use]

@@ -15,6 +15,10 @@ use crate::graph::Graph;
 use crate::io::IoError;
 use std::io::{BufRead, Write};
 
+/// Most entries the reader reserves room for up front, whatever the
+/// dimension line declares.
+const MAX_RESERVE: u64 = 1 << 20;
+
 /// Reads a MatrixMarket coordinate file as an undirected simple graph.
 ///
 /// Returns the graph together with the `new → external` id map the
@@ -24,7 +28,8 @@ use std::io::{BufRead, Write};
 /// # Errors
 ///
 /// [`IoError::Format`] for a missing/unsupported banner, a non-square
-/// dimension line, or out-of-range indices; [`IoError::Parse`] for
+/// dimension line, out-of-range indices, or an entry count that differs
+/// from the declared nnz; [`IoError::Parse`] for
 /// malformed entry lines; [`IoError::Io`] for reader failures.
 pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<(Graph, Vec<u64>), IoError> {
     let mut lines = reader.lines().enumerate();
@@ -113,12 +118,24 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<(Graph, Vec<u64>), Io
         }
     };
 
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(declared_nnz as usize);
+    // The header is untrusted: reserve at most a bounded prefix of the
+    // declared entries and let the vector grow with the real ones.
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(declared_nnz.min(MAX_RESERVE) as usize);
+    let mut entries = 0u64;
+    let mut last_line = dim_line;
     for (i, line) in lines {
         let line = line?;
+        last_line = i;
         let t = line.trim();
         if t.is_empty() || t.starts_with('%') {
             continue;
+        }
+        entries += 1;
+        if entries > declared_nnz {
+            return Err(IoError::Format {
+                line: i + 1,
+                msg: format!("more entries than the declared nnz {declared_nnz}"),
+            });
         }
         let mut it = t.split_whitespace();
         let parse = |s: Option<&str>| -> Option<u64> { s.and_then(|x| x.parse().ok()) };
@@ -151,8 +168,11 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<(Graph, Vec<u64>), Io
         }
         edges.push(((u - 1) as u32, (v - 1) as u32));
     }
-    if dim_line == 0 && n == 0 && !edges.is_empty() {
-        unreachable!("entries were range-checked against n = 0");
+    if entries != declared_nnz {
+        return Err(IoError::Format {
+            line: last_line + 1,
+            msg: format!("file ends after {entries} of the declared {declared_nnz} entries"),
+        });
     }
     let g = Graph::from_edges(n, &edges).map_err(IoError::Graph)?;
     let back: Vec<u64> = (1..=u64::from(n)).collect();
@@ -244,6 +264,25 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(e, IoError::Parse { line: 3, .. }), "{e}");
+    }
+
+    #[test]
+    fn entry_count_must_match_the_declared_nnz() {
+        // A huge declared nnz is not reserved up front: the short file is
+        // rejected at its end, not aborted on an allocation.
+        let e = read_matrix_market(
+            "%%MatrixMarket matrix coordinate pattern general\n4 4 4000000000\n1 2\n".as_bytes(),
+        )
+        .unwrap_err();
+        assert!(matches!(e, IoError::Format { line: 3, .. }), "{e}");
+        let e = read_matrix_market(
+            "%%MatrixMarket matrix coordinate pattern general\n4 4 1\n1 2\n% c\n2 3\n".as_bytes(),
+        )
+        .unwrap_err();
+        assert!(matches!(e, IoError::Format { line: 5, .. }), "{e}");
+        // Self-loops are entries too, though they add no edge.
+        let text = "%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 1\n2 1\n";
+        assert_eq!(read_matrix_market(text.as_bytes()).unwrap().0.m(), 1);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! * [`list_schedule`] — Graham's greedy list scheduling in given order
 //!   (2 − 1/m approximation);
 //! * [`lpt`] — Longest Processing Time first (4/3 − 1/(3m)
-//!   approximation), the heuristic the simulated dispatcher uses;
+//!   approximation), the heuristic the simulated dispatcher uses, and
+//!   [`lpt_runs`], the same schedule over run-length-encoded equal jobs;
 //! * [`exact`] — branch-and-bound optimum for small instances, used to
 //!   validate the heuristics' ratios empirically.
 
@@ -26,7 +27,7 @@ pub mod advanced;
 pub mod trace;
 
 pub use advanced::{exact_two_machines, multifit, tabu_improve};
-pub use trace::trace_schedule;
+pub use trace::{trace_runs, trace_schedule};
 
 /// A computed schedule: which machine runs each job, plus derived loads.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,6 +135,110 @@ pub fn lpt(jobs: &[u64], machines: u32) -> Schedule {
         assignment[j] = m as u32;
     }
     Schedule { assignment, loads }
+}
+
+/// An [`lpt`] schedule of run-length-encoded jobs (see [`lpt_runs`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunSchedule {
+    /// `counts[r][m]` = jobs of run `r` placed on machine `m`.
+    pub counts: Vec<Vec<u64>>,
+    /// Total processing time per machine.
+    pub loads: Vec<u64>,
+}
+
+impl RunSchedule {
+    /// The makespan `l_max = max_i l_i` (§VI).
+    #[must_use]
+    pub fn makespan(&self) -> u64 {
+        self.loads.iter().copied().max().unwrap_or(0)
+    }
+}
+
+/// [`lpt`] over run-length-encoded jobs: `runs[r] = (cycles, count)`
+/// stands for `count` consecutive jobs of `cycles` each, listed in run
+/// order. The loads equal those of `lpt` on the expanded job list, and
+/// `counts[r][m]` equals how many of run `r`'s jobs it puts on machine
+/// `m` — in `O(runs · machines · log)` instead of one heap step per job.
+///
+/// LPT places equal jobs consecutively, each on the least-loaded
+/// machine (ties to the lower index), so `k` jobs of `c > 0` cycles take
+/// the `k` smallest `(load_m + i·c, m)` pairs; a threshold search finds
+/// them. Zero-cycle jobs never change a load and all land on the one
+/// least-loaded machine.
+///
+/// # Panics
+///
+/// Panics if `machines == 0`.
+#[must_use]
+pub fn lpt_runs(runs: &[(u64, u64)], machines: u32) -> RunSchedule {
+    assert!(machines > 0, "need at least one machine");
+    let mut order: Vec<usize> = (0..runs.len()).collect();
+    order.sort_unstable_by_key(|&r| (std::cmp::Reverse(runs[r].0), r));
+    let mut loads = vec![0u64; machines as usize];
+    let mut counts = vec![vec![0u64; machines as usize]; runs.len()];
+    for &r in &order {
+        let (c, k) = runs[r];
+        if k == 0 {
+            continue;
+        }
+        let placed = &mut counts[r];
+        if c == 0 {
+            let m = (0..loads.len())
+                .min_by_key(|&m| (loads[m], m))
+                .expect("machines > 0");
+            placed[m] = k;
+            continue;
+        }
+        place_equal_jobs(&loads, c, k, placed);
+        for (load, &n) in loads.iter_mut().zip(placed.iter()) {
+            *load += n * c;
+        }
+    }
+    RunSchedule { counts, loads }
+}
+
+/// Greedy placement of `k` jobs of `c > 0` cycles onto `loads`: finds
+/// the smallest value `t` with at least `k` pairs `(load_m + i·c) ≤ t`,
+/// takes every pair below `t`, then the pairs exactly at `t` by machine
+/// index.
+fn place_equal_jobs(loads: &[u64], c: u64, k: u64, placed: &mut [u64]) {
+    let (c, k) = (u128::from(c), u128::from(k));
+    // Pairs with value ≤ t on machine `load`.
+    let at_most = |t: u128, load: u64| -> u128 {
+        let load = u128::from(load);
+        if t < load {
+            0
+        } else {
+            (t - load) / c + 1
+        }
+    };
+    let min_load = u128::from(*loads.iter().min().expect("machines > 0"));
+    let (mut lo, mut hi) = (min_load, min_load + (k - 1) * c);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if loads.iter().map(|&l| at_most(mid, l)).sum::<u128>() >= k {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    let t = lo;
+    let mut left = k;
+    for (slot, &load) in placed.iter_mut().zip(loads) {
+        let below = if t == 0 { 0 } else { at_most(t - 1, load) };
+        *slot = below as u64;
+        left -= below;
+    }
+    for (slot, &load) in placed.iter_mut().zip(loads) {
+        if left == 0 {
+            break;
+        }
+        let load = u128::from(load);
+        if t >= load && (t - load) % c == 0 {
+            *slot += 1;
+            left -= 1;
+        }
+    }
 }
 
 /// Online Graham step for fault recovery: the least-loaded machine among

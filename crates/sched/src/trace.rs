@@ -46,6 +46,34 @@ pub fn trace_schedule(
     start_cycles + schedule.makespan()
 }
 
+/// [`trace_schedule`] for run-length-encoded jobs (see
+/// [`crate::lpt_runs`]): expands `runs` into the per-job list and its
+/// [`crate::lpt`] schedule, so the spans match a trace of the expanded
+/// jobs exactly. No-op when the tracer is disabled — the expansion is
+/// paid only by traced runs.
+pub fn trace_runs(
+    tracer: &Tracer,
+    runs: &[(u64, u64)],
+    machines: u32,
+    cat: &str,
+    start_cycles: u64,
+) {
+    if !tracer.enabled() {
+        return;
+    }
+    let jobs: Vec<u64> = runs
+        .iter()
+        .flat_map(|&(c, k)| std::iter::repeat_n(c, k as usize))
+        .collect();
+    trace_schedule(
+        tracer,
+        &crate::lpt(&jobs, machines),
+        &jobs,
+        cat,
+        start_cycles,
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -699,6 +699,32 @@ fn malformed_dataset_exits_4() {
     assert_eq!(code, 0);
 }
 
+/// A MatrixMarket header is untrusted input: a huge declared nnz over a
+/// short file is a malformed dataset (exit 4 with the line number), not
+/// an up-front reservation that aborts the process. The run is capped
+/// at a 1 GiB address space so an eager reservation would fail here.
+#[test]
+fn matrix_market_nnz_mismatch_exits_4() {
+    let dir = std::env::temp_dir().join("trigon_cli_mm_nnz");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("short.mtx");
+    std::fs::write(
+        &path,
+        "%%MatrixMarket matrix coordinate pattern general\n4 4 4000000000\n1 2\n",
+    )
+    .unwrap();
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -v 1048576 && exec \"$0\" analyze \"$1\"")
+        .arg(env!("CARGO_BIN_EXE_trigon"))
+        .arg(&path)
+        .output()
+        .expect("spawn trigon under sh");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "killed or wrong code: {stderr}");
+    assert!(stderr.contains("line 3"), "{stderr}");
+}
+
 #[test]
 fn query_against_unloaded_graph_exits_2() {
     let daemon = Daemon::spawn();
